@@ -444,13 +444,17 @@ func runBenchBigN(path string, params exp.Params) error {
 // parallel build must be byte-identical to its serial build; in full
 // mode the n=10⁶ G(n,p) serial build must be ≥ 1.5× the frozen seed
 // []Edge baseline, and the n=10⁷ G(n,p) build peak RSS must stay
-// within 2× the final CSR size.
+// within 2× the final CSR size. The section carries its own
+// provenance; a merge leaves the report's top-level provenance, which
+// describes the engine matrix, as it was.
 func runBenchBuild(path string, params exp.Params) error {
 	start := time.Now()
 	sec, err := exp.BenchBuildRun(params)
 	if err != nil {
 		return err
 	}
+	prov := obs.CollectProvenance("divbench", params.Seed, params.Engine).WithMemStats()
+	sec.Provenance = &prov
 	rep := &exp.BenchReport{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, rep); err != nil {
@@ -459,10 +463,9 @@ func runBenchBuild(path string, params exp.Params) error {
 	} else {
 		rep.Quick = params.Quick
 		rep.Note = "build section generated by divbench -bench-build; run -bench-json for the engine matrix"
+		rep.Provenance = &prov
 	}
 	rep.Build = sec
-	prov := obs.CollectProvenance("divbench", params.Seed, params.Engine).WithMemStats()
-	rep.Provenance = &prov
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -480,9 +483,9 @@ func runBenchBuild(path string, params exp.Params) error {
 		if pt.BaselineSeconds > 0 {
 			base = fmt.Sprintf("baseline %6.2fs (%.2fx)", pt.BaselineSeconds, pt.SpeedupVsBaseline)
 		}
-		fmt.Printf("bench: build %-14s n=%-9d m=%-9d serial %6.2fs (%5.2fM edges/s), %s, parallel w=%d %6.2fs, peak RSS %7.1f MB / CSR %7.1f MB = %.2f, identical=%v\n",
+		fmt.Printf("bench: build %-14s n=%-9d m=%-9d serial %6.2fs (%5.2fM edges/s), %s, parallel w=%d %6.2fs (%.2fx serial), peak RSS %7.1f MB / CSR %7.1f MB = %.2f, identical=%v\n",
 			pt.Family, pt.N, pt.Edges, pt.SerialSeconds, pt.SerialEdgesPerSec/1e6, base,
-			pt.Workers, pt.ParallelSeconds,
+			pt.Workers, pt.ParallelSeconds, pt.SpeedupVsSerial,
 			float64(pt.PeakRSSBytes)/(1<<20), float64(pt.CSRBytes)/(1<<20), pt.RSSOverCSR, pt.Identical)
 		fmt.Printf("bench: build %-14s phases: sample %v, count %v, offsets %v, scatter %v, sort %v\n",
 			pt.Family,

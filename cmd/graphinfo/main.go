@@ -54,10 +54,9 @@ func run(graphSpec string, seed uint64, k int, diameter bool, buildWorkers int) 
 		return err
 	}
 	fmt.Printf("graph:      %v\n", g)
-	if stats.Stripes > 0 {
+	if stats.Parts > 0 {
 		total := stats.TotalNanos()
-		fmt.Printf("build:      %v total, %d worker(s), %d stripe(s)\n",
-			time.Duration(total), stats.Workers, stats.Stripes)
+		fmt.Printf("build:      %v total, %d partition(s)\n", time.Duration(total), stats.Parts)
 		phase := func(name string, nanos int64) {
 			if total > 0 {
 				fmt.Printf("            %-8s %12v  (%4.1f%%)\n",

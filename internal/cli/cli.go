@@ -32,9 +32,18 @@ func ParseGraph(spec string, seed uint64) (*graph.Graph, error) {
 
 // ParseGraphOpts is ParseGraph with an explicit assembler
 // configuration for the random families (worker count, stats capture).
-// Deterministic families ignore opts.
+// Deterministic families ignore opts. A family that also has an
+// implicit backend is validated by ParseTopology first, so the two
+// parsers accept and reject exactly the same specs of it, with the
+// same errors.
 func ParseGraphOpts(spec string, seed uint64, opts graph.BuildOpts) (*graph.Graph, error) {
 	name, argStr, _ := strings.Cut(spec, ":")
+	switch strings.ToLower(name) {
+	case "complete", "path", "cycle", "torus", "hypercube", "circulant":
+		if _, err := ParseTopology(spec, seed); err != nil {
+			return nil, err
+		}
+	}
 	args := strings.Split(argStr, ",")
 	argInt := func(i int) (int, error) {
 		if i >= len(args) || args[i] == "" {

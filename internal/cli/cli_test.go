@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"div/internal/baseline"
@@ -156,6 +158,54 @@ func TestParseGraphErrors(t *testing.T) {
 	} {
 		if _, err := ParseGraph(spec, 1); err == nil {
 			t.Errorf("spec %q accepted", spec)
+		}
+	}
+	// Out-of-range parameters of families with an implicit backend are
+	// errors naming the bad field, not builder panics.
+	for spec, field := range map[string]string{
+		"circulant:10,0":   "stride 0",
+		"circulant:10,1+1": "duplicate stride 1",
+		"circulant:2,1":    "n >= 3",
+		"hypercube:40":     "dimension 40",
+		"hypercube:0":      "dimension 0",
+		"torus:2,5":        "rows,cols >= 3",
+		"cycle:2":          "n >= 3",
+		"complete:1":       "n >= 2",
+		"path:-4":          "n >= 2",
+	} {
+		_, err := ParseGraph(spec, 1)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("spec %q: err = %v, want one naming %q", spec, err, field)
+		}
+	}
+}
+
+// TestParseGraphTopologyAgree: for every family with both backends,
+// ParseGraph and ParseTopology accept and reject the same specs, and
+// an accepted spec names the same edge set.
+func TestParseGraphTopologyAgree(t *testing.T) {
+	for _, spec := range []string{
+		"complete:1", "complete:2", "complete:7", "path:1", "path:2", "path:0",
+		"cycle:2", "cycle:3", "torus:2,3", "torus:3,3", "torus:4,3",
+		"hypercube:0", "hypercube:1", "hypercube:5", "hypercube:26", "hypercube:40",
+		"circulant:10,0", "circulant:10,5", "circulant:10,4", "circulant:9,1+4",
+		"circulant:9,2+2", "circulant:10,11", "circulant:3,1", "circulant:2,1",
+	} {
+		topo, terr := ParseTopology(spec, 1)
+		g, gerr := ParseGraph(spec, 1)
+		if (terr == nil) != (gerr == nil) {
+			t.Errorf("%s: ParseTopology err = %v, ParseGraph err = %v", spec, terr, gerr)
+			continue
+		}
+		if terr != nil {
+			if terr.Error() != gerr.Error() {
+				t.Errorf("%s: errors differ: %q vs %q", spec, terr, gerr)
+			}
+			continue
+		}
+		et, eg := graph.MustMaterialize(topo).Edges(), g.Edges()
+		if fmt.Sprint(et) != fmt.Sprint(eg) {
+			t.Errorf("%s: implicit and materialized edge sets differ", spec)
 		}
 	}
 }

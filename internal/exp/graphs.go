@@ -89,11 +89,11 @@ func (gs *Graphs) Cycle(n int) *graph.Graph {
 	return gs.mustGet(graph.Key{Family: "cycle", N: n}, func() *graph.Graph { return graph.Cycle(n) })
 }
 
-// buildOpts is the assembler configuration for cache builds: stripes
-// run on the GOMAXPROCS-wide shared pool (the ready-channel dedup pins
-// a cold build to one caller, but the build itself saturates the
-// machine). Worker count never affects the built graph, so the cache
-// key needs no build-parallelism component.
+// buildOpts is the assembler configuration for cache builds: up to
+// GOMAXPROCS row partitions (the ready-channel dedup pins a cold build
+// to one caller, but the build itself uses several cores). Worker count
+// never affects the built graph, so the cache key needs no
+// build-parallelism component.
 func buildOpts() graph.BuildOpts {
 	return graph.BuildOpts{Workers: runtime.GOMAXPROCS(0)}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -39,14 +40,36 @@ type connScratch struct {
 
 var connPool = sync.Pool{New: func() any { return &connScratch{} }}
 
+// Direction-switch thresholds of the connectivity BFS (Beamer, Asanović
+// and Patterson's α and β): go bottom-up once the frontier's arcs exceed
+// 1/bfsAlpha of the unvisited vertices' arcs, and back top-down once
+// the frontier holds fewer than n/bfsBeta vertices.
+const (
+	bfsAlpha = 14
+	bfsBeta  = 24
+)
+
 // IsConnected reports whether g is connected. The empty graph and the
 // single vertex are connected by convention. Scratch state is pooled
 // and reused across calls, so steady-state invocations do not
 // allocate.
 func IsConnected(g *Graph) bool {
+	ok, _ := isConnected(g)
+	return ok
+}
+
+// isConnected is a direction-optimizing BFS from vertex 0 that also
+// reports how many bottom-up sweeps it ran. Top-down steps expand the
+// frontier's arcs. A bottom-up sweep instead scans every unvisited
+// vertex for a visited neighbour, stopping at the first — far fewer
+// arc reads once the frontier covers a good share of an expander. A
+// sweep leaves no visited vertex with an unvisited neighbour except
+// among those it marked itself, so the vertices it marked are the next
+// frontier.
+func isConnected(g *Graph) (connected bool, sweeps int) {
 	n := g.N()
 	if n <= 1 {
-		return true
+		return true, 0
 	}
 	sc := connPool.Get().(*connScratch)
 	defer connPool.Put(sc)
@@ -60,22 +83,56 @@ func IsConnected(g *Graph) bool {
 		sc.queue = make([]int32, n)
 	}
 	queue := sc.queue[:n]
+	seen := func(w int32) bool { return visited[w>>6]&(1<<(uint(w)&63)) != 0 }
 
 	visited[0] |= 1
 	queue[0] = 0
 	head, tail := 0, 1
-	for head < tail {
-		v := queue[head]
-		head++
-		for _, w := range g.Neighbors(int(v)) {
-			if visited[w>>6]&(1<<(uint(w)&63)) == 0 {
-				visited[w>>6] |= 1 << (uint(w) & 63)
-				queue[tail] = w
-				tail++
+	frontierArcs := int64(g.Degree(0))
+	unvisitedArcs := g.DegreeSum() - frontierArcs
+	bottomUp := false
+	for head < tail && tail < n {
+		if bottomUp {
+			bottomUp = tail-head >= n/bfsBeta
+		} else {
+			bottomUp = frontierArcs > unvisitedArcs/bfsAlpha
+		}
+		frontierArcs = 0
+		if bottomUp {
+			sweeps++
+			head = tail
+			for i, word := range visited {
+				for free := ^word; free != 0; free &= free - 1 {
+					v := i<<6 | bits.TrailingZeros64(free)
+					if v >= n {
+						break
+					}
+					for _, w := range g.Neighbors(v) {
+						if seen(w) {
+							visited[i] |= 1 << (uint(v) & 63)
+							queue[tail] = int32(v)
+							tail++
+							frontierArcs += int64(g.Degree(v))
+							break
+						}
+					}
+				}
+			}
+		} else {
+			for end := tail; head < end; head++ {
+				for _, w := range g.Neighbors(int(queue[head])) {
+					if !seen(w) {
+						visited[w>>6] |= 1 << (uint(w) & 63)
+						queue[tail] = w
+						tail++
+						frontierArcs += int64(g.Degree(int(w)))
+					}
+				}
 			}
 		}
+		unvisitedArcs -= frontierArcs
 	}
-	return tail == n
+	return tail == n, sweeps
 }
 
 // Components returns the connected components of g as vertex lists,

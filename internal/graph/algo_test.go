@@ -208,4 +208,50 @@ func TestIsConnectedCases(t *testing.T) {
 	if !IsConnected(Path(64)) || !IsConnected(Path(65)) || IsConnected(MustFromEdges(65, []Edge{{0, 1}})) {
 		t.Error("word-boundary sizes misreported")
 	}
+
+	// Inputs on which the BFS switches to bottom-up sweeps (bottomUp),
+	// or stays mostly top-down, each held to the component count.
+	rr, err := RandomRegularSeeded(3000, 6, 1, BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated := MustFromEdges(5, nil)
+	for _, tc := range []struct {
+		name     string
+		g        *Graph
+		bottomUp bool
+	}{
+		{"random regular", rr, true},
+		{"two large components", disjointUnion(rr, rr), true},
+		{"isolated vertices after a large component", disjointUnion(rr, isolated), true},
+		{"isolated vertices before a large component", disjointUnion(isolated, rr), false},
+		{"path", Path(5000), false},
+		{"path and isolated vertices", disjointUnion(Path(5000), isolated), false},
+		{"star", Star(5000), true},
+		{"barbell", Barbell(200, 50), true},
+		{"two barbells", disjointUnion(Barbell(100, 10), Barbell(100, 10)), true},
+	} {
+		want := len(Components(tc.g)) == 1
+		got, sweeps := isConnected(tc.g)
+		if got != want {
+			t.Errorf("%s: IsConnected = %v, Components says %v", tc.name, got, want)
+		}
+		if tc.bottomUp && sweeps == 0 {
+			t.Errorf("%s: no bottom-up sweep ran", tc.name)
+		}
+	}
+}
+
+// disjointUnion places the graphs side by side, relabelling each one's
+// vertices after the previous ones'.
+func disjointUnion(gs ...*Graph) *Graph {
+	var edges []Edge
+	n := 0
+	for _, g := range gs {
+		for _, e := range g.Edges() {
+			edges = append(edges, Edge{U: n + e.U, V: n + e.V})
+		}
+		n += g.N()
+	}
+	return MustFromEdges(n, edges)
 }

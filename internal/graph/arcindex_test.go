@@ -234,36 +234,3 @@ func TestIsComplete(t *testing.T) {
 		}
 	}
 }
-
-// TestArcIndexRowBuildMatchesSerial pins the striped rev build
-// (binary-search pairing, used above arcIndexParallelMinArcs on
-// multicore hosts) to the serial cursor pass, across families and row
-// partitions — including partitions that split a vertex's arcs from
-// its reverse partners'.
-func TestArcIndexRowBuildMatchesSerial(t *testing.T) {
-	gs := arcIndexGraphs(t)
-	gnp, err := GnpSeeded(300, 0.05, 9, BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs["gnp"] = gnp
-	for name, g := range gs {
-		want := g.ArcIndex()
-		for _, grain := range []int{1, 3, 1 << 20} {
-			got := &ArcIndex{g: g, tails: make([]int32, len(g.adj)), rev: make([]int32, len(g.adj))}
-			for lo := 0; lo < g.N(); lo += grain {
-				hi := lo + grain
-				if hi > g.N() {
-					hi = g.N()
-				}
-				buildArcIndexRows(g, got, lo, hi)
-			}
-			for a := range want.rev {
-				if got.rev[a] != want.rev[a] || got.tails[a] != want.tails[a] {
-					t.Fatalf("%s grain=%d: arc %d rev/tails (%d,%d) want (%d,%d)",
-						name, grain, a, got.rev[a], got.tails[a], want.rev[a], want.tails[a])
-				}
-			}
-		}
-	}
-}

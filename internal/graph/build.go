@@ -1,40 +1,52 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"sort"
+	"sync"
 	"time"
 
 	"div/internal/obs"
-	"div/internal/sched"
 )
 
 // This file is the direct-to-CSR assembler: graphs are built straight
-// into their final offsets/adj slabs with no intermediate []Edge, in
-// four phases —
+// into their final offsets/adj slabs with no intermediate []Edge. The
+// source's rows are split into P contiguous partitions of about equal
+// work (EdgeSource.RowCost), and each partition runs the source's own
+// count and scatter loops on its own goroutine, in four phases —
 //
-//	count    enumerate every edge once, accumulating degrees
-//	offsets  exclusive prefix sum of the degrees
-//	scatter  enumerate the same edges again, writing both arc cells
-//	sort     per-vertex neighbour sort + duplicate detection
+//	count    each partition tallies the degrees of its edges into a
+//	         private per-vertex int32 array
+//	offsets  one serial pass over (vertex, partition) sums the tallies
+//	         into the offsets and sets each partition's int64 fill
+//	         cursors: partition k's arcs at v start where partitions
+//	         0..k-1's arcs at v end
+//	scatter  each partition replays its edges, writing both arc cells
+//	         through its own cursors
+//	sort     per-vertex neighbour sort (or verify) + duplicate check,
+//	         over P vertex ranges of about equal arc count
 //
-// Each phase runs striped over row ranges on the work-stealing pool
-// (sched.Distribute), with the calling goroutine participating, so a
-// cold graph-cache build saturates the pool instead of serializing on
-// one goroutine. The count and scatter passes replay the same
-// enumeration, which is what lets a generated family (G(n,p)) avoid
-// ever materializing 16 bytes/edge of edge list — peak memory is the
-// final CSR plus one int64 cursor per vertex, plus whatever the source
-// keeps to make its replay cheap (gnpSource memoizes 4 bytes/edge
-// between the passes rather than re-running the skip chain).
+// No cell is written by two partitions in any phase, so nothing is
+// updated atomically. P = min(Workers, maxBuildParts); P = 1 is the
+// serial build, on the calling goroutine.
 //
-// Determinism: an EdgeSource's emissions are a pure function of the
-// row range, and the scatter pass's nondeterministic within-row arc
-// order is canonicalized by the sort phase, so the built graph is
-// byte-identical at every worker count and every stripe size. Errors
-// are selected by row order (smallest stripe index, first error
-// within it), never by which worker tripped first.
+// Determinism: vertex v receives its arcs in partition order and,
+// within a partition, in row order — the order of a serial scatter,
+// whatever P is. A source whose rows emit their neighbours ascending,
+// with every edge owned by its larger endpoint (G(n,p)), therefore
+// lands sorted at every width and the sort phase only verifies; other
+// sources are sorted there. Either way the built graph is byte-identical
+// at every width. Errors are selected by row order: the lowest
+// partition's first error is the earliest row's error at every width.
+//
+// Memory: the final CSR, plus a 4-byte tally and then an 8-byte cursor
+// per vertex per partition, plus what a source keeps between its two
+// passes (G(n,p) memoizes its draws, 4 bytes per edge, so scatter does
+// not resample). The tallies are int32 because the count pass's random
+// increments run faster on the smaller array; a simple graph's degree
+// fits.
 //
 // Telemetry on obs.Default:
 //
@@ -42,11 +54,10 @@ import (
 //	                                (pairing, attachment, rewiring);
 //	                                G(n,p) samples inside the count pass
 //	span_graph_build_count_nanos    count pass wall time
-//	span_graph_build_offsets_nanos  prefix-sum wall time
+//	span_graph_build_offsets_nanos  offsets pass wall time
 //	span_graph_build_scatter_nanos  scatter pass wall time
 //	span_graph_build_sort_nanos     sort + dup-check wall time
-//	graph_build_workers             worker hint of the latest build
-//	graph_build_stripes_total       row stripes processed across passes
+//	graph_build_parts               partition count of the latest build
 
 var (
 	buildSampleTimer  = obs.Default.Timer("graph_build_sample")
@@ -54,26 +65,53 @@ var (
 	buildOffsetsTimer = obs.Default.Timer("graph_build_offsets")
 	buildScatterTimer = obs.Default.Timer("graph_build_scatter")
 	buildSortTimer    = obs.Default.Timer("graph_build_sort")
-	buildWorkersGauge = obs.Default.Gauge("graph_build_workers")
-	buildStripesTotal = obs.Default.Counter("graph_build_stripes_total")
+	buildPartsGauge   = obs.Default.Gauge("graph_build_parts")
 )
 
+// maxBuildParts caps the partition count. Each partition keeps a
+// 4-byte degree tally per vertex, so the cap bounds the tallies at 16
+// bytes per vertex, under a fifth of the CSR of a mean-degree-20 G(n,p)
+// (8 bytes per vertex plus 4 per arc). The 8-byte cursors that replace
+// them for the scatter cost twice that.
+const maxBuildParts = 4
+
 // EdgeSource enumerates the undirected edges of a graph, partitioned
-// into rows. EmitRows must call emit(v, w) exactly once per edge {v,w}
-// owned by a row in [lo, hi), with both endpoints already validated
-// (in range, no self-loop) — emit goes straight into degree counters
-// and arc slabs with no bounds checks of its own. The enumeration must
-// be a pure function of the row range: BuildCSR calls EmitRows twice
-// per range (count, then scatter), possibly from different goroutines
-// per call, and disjoint ranges concurrently.
+// into rows. BuildCSR splits the rows into contiguous ranges and
+// enumerates each range through its own RowPart.
 type EdgeSource interface {
 	// Rows returns the number of rows the edge set is partitioned into
 	// (the vertex count for generated families, the edge count for an
 	// edge list).
 	Rows() int
-	// EmitRows emits every edge owned by rows [lo, hi). A non-nil error
-	// aborts the build; the error from the earliest row range wins.
-	EmitRows(lo, hi int, emit func(v, w int32)) error
+	// RowCost returns the relative work of rows [0, r), nondecreasing
+	// in r; partitions are balanced by it.
+	RowCost(r int) float64
+	// Sorted reports whether a row-order scatter leaves every
+	// adjacency sorted ascending — true when rows emit their neighbours
+	// ascending and every edge is owned by its larger endpoint (then
+	// vertex x receives its smaller neighbours, ascending, from its own
+	// row before rows x+1, x+2, … append theirs). The sort phase then
+	// degrades to a strict-ascending verify that doubles as the
+	// duplicate check.
+	Sorted() bool
+	// Part returns the enumerator of rows [lo, hi).
+	Part(lo, hi int) RowPart
+}
+
+// RowPart enumerates the edges owned by one contiguous row range, with
+// both endpoints validated (in range, no self-loop). BuildCSR calls
+// Count and then Scatter, each from a single goroutine; other parts run
+// concurrently on disjoint ranges, writing disjoint cells.
+type RowPart interface {
+	// Count adds 1 to deg[v] and to deg[w] for every owned edge {v, w}.
+	// A non-nil error aborts the build; it must be the error of the
+	// earliest failing row.
+	Count(deg []int32) error
+	// Scatter enumerates the same edges in row order, writing both arc
+	// cells through the fill cursors: adj[fill[v]] = w and
+	// adj[fill[w]] = v, post-incrementing each cursor. Count vetted the
+	// rows, so Scatter cannot fail.
+	Scatter(fill []int64, adj []int32)
 }
 
 // BuildStats reports per-phase wall time for one build. Nanos fields
@@ -89,10 +127,8 @@ type BuildStats struct {
 	OffsetsNanos int64
 	ScatterNanos int64
 	SortNanos    int64
-	// Workers is the normalized worker hint of the last build; Stripes
-	// counts row stripes processed across all passes.
-	Workers int
-	Stripes int64
+	// Parts is the partition count of the last build.
+	Parts int
 }
 
 // TotalNanos returns the summed wall time of all phases.
@@ -103,58 +139,32 @@ func (s *BuildStats) TotalNanos() int64 {
 // BuildOpts tunes the assembler. The zero value builds serially on the
 // calling goroutine, which is also the NewFromEdges configuration.
 type BuildOpts struct {
-	// Workers is the parallelism hint: > 1 runs the build's phases
-	// striped over sched.Shared(Workers) (the calling goroutine
-	// participates). ≤ 1 builds serially. The built graph is identical
-	// either way.
+	// Workers is the parallelism hint: the build runs
+	// min(Workers, maxBuildParts) partitions concurrently, and ≤ 1
+	// builds serially. The built graph is identical either way.
 	Workers int
-	// Grain overrides the rows-per-stripe granularity (0 = automatic).
-	// Like Workers it never affects the built graph, only scheduling.
-	Grain int
-	// Pool overrides the pool used when Workers > 1 (nil = shared).
-	Pool *sched.Pool
 	// Stats, when non-nil, accumulates per-phase timings.
 	Stats *BuildStats
 }
 
-func (o BuildOpts) pool() *sched.Pool {
-	if o.Workers <= 1 {
-		return nil
+// stats returns the BuildStats to accumulate into: the caller's, or a
+// discarded one.
+func (o BuildOpts) stats() *BuildStats {
+	if o.Stats != nil {
+		return o.Stats
 	}
-	if o.Pool != nil {
-		return o.Pool
-	}
-	return sched.Shared(o.Workers)
+	return new(BuildStats)
 }
 
-func (o BuildOpts) workers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
-}
-
-// grainFor resolves the stripe granularity for a row count. It is a
-// pure function of (rows, o.Grain) — never of Workers — so stripe
-// boundaries, and with them error selection, are identical at every
-// width.
-func (o BuildOpts) grainFor(rows int) int {
-	if o.Grain > 0 {
-		return o.Grain
-	}
-	g := rows / 256
-	if g < 2048 {
-		g = 2048
-	}
-	return g
+// observe records one phase's wall time on its timer and in sum.
+func observe(t *obs.Timer, sum *int64, d time.Duration) {
+	t.Observe(d)
+	*sum += d.Nanoseconds()
 }
 
 // observeSample records a builder's serial sampling phase.
 func (o BuildOpts) observeSample(d time.Duration) {
-	buildSampleTimer.Observe(d)
-	if o.Stats != nil {
-		o.Stats.SampleNanos += d.Nanoseconds()
-	}
+	observe(buildSampleTimer, &o.stats().SampleNanos, d)
 }
 
 // EdgeList returns the EdgeSource view of an explicit edge list: row i
@@ -164,107 +174,76 @@ func EdgeList(n int, edges []Edge) EdgeSource {
 	return edgeListSource{n: n, edges: edges}
 }
 
+// edgeListSource is its own RowPart: a part is the sub-list, with base
+// keeping the edge indices in error messages global.
 type edgeListSource struct {
 	n     int
 	edges []Edge
+	base  int
 }
 
-func (s edgeListSource) Rows() int { return len(s.edges) }
+func (s edgeListSource) Rows() int             { return len(s.edges) }
+func (s edgeListSource) RowCost(r int) float64 { return float64(r) }
+func (s edgeListSource) Sorted() bool          { return false }
 
-func (s edgeListSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	for i := lo; i < hi; i++ {
-		e := s.edges[i]
+func (s edgeListSource) Part(lo, hi int) RowPart {
+	return edgeListSource{n: s.n, edges: s.edges[lo:hi], base: s.base + lo}
+}
+
+func (s edgeListSource) Count(deg []int32) error {
+	for i, e := range s.edges {
 		if e.U < 0 || e.U >= s.n || e.V < 0 || e.V >= s.n {
-			return fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", i, e.U, e.V, s.n)
+			return fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", s.base+i, e.U, e.V, s.n)
 		}
 		if e.U == e.V {
-			return fmt.Errorf("graph: edge %d is a self-loop at %d", i, e.U)
+			return fmt.Errorf("graph: edge %d is a self-loop at %d", s.base+i, e.U)
 		}
-		emit(int32(e.U), int32(e.V))
+		deg[e.U]++
+		deg[e.V]++
 	}
 	return nil
 }
 
-// serialRowsSource is an optional EdgeSource fast path taken only by
-// the serial (pool-less) build: the source runs the count and scatter
-// inner loops natively over its rows, eliminating the per-edge closure
-// dispatch that a func(v, w) emit costs twice per edge. Parallel
-// builds always go through EmitRows (their accumulation is atomic);
-// the built graph is identical either way, which
-// TestBuildIdentityAcrossWorkersAndStripes pins.
-type serialRowsSource interface {
-	// CountRowsSerial must increment counts[v+1] and counts[w+1] once
-	// per owned edge {v, w} of rows [lo, hi) — the same +1 convention
-	// as the count pass's in-place prefix sum. Counters are int32 (a
-	// simple graph's degree is below the int32 vertex bound) so the
-	// pass's random-access working set is half the offsets array's.
-	CountRowsSerial(lo, hi int, counts []int32) error
-	// ScatterRowsSerial must, for each owned edge {v, w} of rows
-	// [lo, hi), write both arc cells through the fill cursors:
-	// adj[fill[v]] = w, adj[fill[w]] = v, post-incrementing each cursor.
-	// The count pass vetted the rows, so this pass cannot fail.
-	ScatterRowsSerial(lo, hi int, fill []int64, adj []int32)
-	// SortedRowsSerial reports whether the serial scatter leaves every
-	// adjacency already sorted ascending — true when rows emit their
-	// neighbour draws in ascending order and every edge is owned by its
-	// larger endpoint (then vertex x receives its smaller neighbours,
-	// ascending, from its own row before rows x+1, x+2, … append
-	// theirs). When true the sort phase degrades to a strict-ascending
-	// verify that doubles as the duplicate check.
-	SortedRowsSerial() bool
-}
-
-// stripedErrs collects one error per stripe; First returns the error
-// of the earliest stripe, which is deterministic regardless of which
-// worker processed what.
-type stripedErrs struct {
-	errs []error
-}
-
-func newStripedErrs(rows, grain int) *stripedErrs {
-	if rows <= 0 {
-		return &stripedErrs{}
+func (s edgeListSource) Scatter(fill []int64, adj []int32) {
+	for _, e := range s.edges {
+		a := fill[e.U]
+		fill[e.U] = a + 1
+		adj[a] = int32(e.V)
+		b := fill[e.V]
+		fill[e.V] = b + 1
+		adj[b] = int32(e.U)
 	}
-	return &stripedErrs{errs: make([]error, (rows+grain-1)/grain)}
 }
 
-func (se *stripedErrs) set(lo, grain int, err error) { se.errs[lo/grain] = err }
-
-func (se *stripedErrs) first() error {
-	for _, err := range se.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runStripes executes fn over row stripes of the given grain, on the
-// pool when non-nil (caller participating) or inline otherwise, and
-// returns the wall time. Stripe boundaries depend only on (rows,
-// grain).
-func runStripes(p *sched.Pool, rows, grain int, stats *BuildStats, fn func(lo, hi int)) time.Duration {
+// forParts runs fn(k) for every k in [0, parts) concurrently — k = 0 on
+// the calling goroutine — and returns the wall time.
+func forParts(parts int, fn func(k int)) time.Duration {
 	start := time.Now()
-	stripes := 0
-	if rows > 0 {
-		stripes = (rows + grain - 1) / grain
+	var wg sync.WaitGroup
+	for k := 1; k < parts; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(k)
+		}()
 	}
-	if p == nil {
-		for lo := 0; lo < rows; lo += grain {
-			hi := lo + grain
-			if hi > rows {
-				hi = rows
-			}
-			fn(lo, hi)
-		}
-	} else {
-		sched.Distribute(p, rows, grain, sched.Tag{Exp: "graph_build"}, fn)
-	}
-	buildStripesTotal.Add(int64(stripes))
-	if stats != nil {
-		stats.Stripes += int64(stripes)
-	}
+	fn(0)
+	wg.Wait()
 	return time.Since(start)
+}
+
+// splitRows returns the parts+1 boundaries of a split of [0, rows) into
+// contiguous ranges of about equal cost, where cost(r) is the
+// nondecreasing cost of rows [0, r).
+func splitRows(rows, parts int, cost func(r int) float64) []int {
+	b := make([]int, parts+1)
+	total := cost(rows)
+	for k := 1; k < parts; k++ {
+		target := total * float64(k) / float64(parts)
+		b[k] = sort.Search(rows, func(r int) bool { return cost(r) >= target })
+	}
+	b[parts] = rows
+	return b
 }
 
 // BuildCSR assembles a Graph with n vertices directly into CSR form
@@ -275,170 +254,78 @@ func BuildCSR(n int, src EdgeSource, opts BuildOpts) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	p := opts.pool()
-	stats := opts.Stats
-	if stats != nil {
-		stats.Workers = opts.workers()
-	}
-	buildWorkersGauge.Set(int64(opts.workers()))
-
 	rows := src.Rows()
-	rowGrain := opts.grainFor(rows)
-	vtxGrain := opts.grainFor(n)
+	parts := max(min(opts.Workers, maxBuildParts, rows), 1)
+	stats := opts.stats()
+	stats.Parts = parts
+	buildPartsGauge.Set(int64(parts))
 
-	// Count pass: offsets[v+1] accumulates deg(v). The parallel variant
-	// uses atomic adds — stripes owned by different workers share head
-	// vertices freely.
-	offsets := make([]int64, n+1)
-	countErrs := newStripedErrs(rows, rowGrain)
-	fastSrc, fastOK := src.(serialRowsSource)
-	fast := p == nil && fastOK
-	var counts32 []int32
-	if fast {
-		counts32 = make([]int32, n+1)
-	}
-	var countEmit func(v, w int32)
-	if p == nil {
-		countEmit = func(v, w int32) {
-			offsets[v+1]++
-			offsets[w+1]++
-		}
-	} else {
-		countEmit = func(v, w int32) {
-			atomic.AddInt64(&offsets[v+1], 1)
-			atomic.AddInt64(&offsets[w+1], 1)
-		}
-	}
-	d := runStripes(p, rows, rowGrain, stats, func(lo, hi int) {
-		var err error
-		if fast {
-			err = fastSrc.CountRowsSerial(lo, hi, counts32)
-		} else {
-			err = src.EmitRows(lo, hi, countEmit)
-		}
-		if err != nil {
-			countErrs.set(lo, rowGrain, err)
-		}
+	// Count: each partition tallies its edges' degrees privately.
+	bounds := splitRows(rows, parts, src.RowCost)
+	runs := make([]RowPart, parts)
+	tallies := make([][]int32, parts)
+	errs := make([]error, parts)
+	d := forParts(parts, func(k int) {
+		runs[k] = src.Part(bounds[k], bounds[k+1])
+		tallies[k] = make([]int32, n)
+		errs[k] = runs[k].Count(tallies[k])
 	})
-	buildCountTimer.Observe(d)
-	if stats != nil {
-		stats.CountNanos += d.Nanoseconds()
-	}
-	if err := countErrs.first(); err != nil {
+	observe(buildCountTimer, &stats.CountNanos, d)
+	if err := cmp.Or(errs...); err != nil { // the lowest partition's error
 		return nil, err
 	}
 
-	// Offsets phase: exclusive prefix sum in place, blocked so wide
-	// machines scan stripes concurrently (stripe totals, serial scan of
-	// the totals, then stripe-local running sums).
+	// Offsets: partition k's cursor at v is offsets[v] plus the arcs
+	// partitions 0..k-1 hold at v.
 	start := time.Now()
-	if fast {
-		var run int64
-		for v := 0; v < n; v++ {
-			run += int64(counts32[v+1])
-			offsets[v+1] = run
-		}
-		counts32 = nil
-	} else if p == nil || n < 2*vtxGrain {
-		var run int64
-		for v := 0; v < n; v++ {
-			run += offsets[v+1]
-			offsets[v+1] = run
-		}
-	} else {
-		stripes := (n + vtxGrain - 1) / vtxGrain
-		sums := make([]int64, stripes)
-		runStripes(p, n, vtxGrain, nil, func(lo, hi int) {
-			var s int64
-			for v := lo; v < hi; v++ {
-				s += offsets[v+1]
-			}
-			sums[lo/vtxGrain] = s
-		})
-		var base int64
-		for i, s := range sums {
-			sums[i] = base
-			base += s
-		}
-		runStripes(p, n, vtxGrain, nil, func(lo, hi int) {
-			run := sums[lo/vtxGrain]
-			for v := lo; v < hi; v++ {
-				run += offsets[v+1]
-				offsets[v+1] = run
-			}
-		})
+	offsets := make([]int64, n+1)
+	curs := make([][]int64, parts)
+	for k := range curs {
+		curs[k] = make([]int64, n)
 	}
-	total := offsets[n]
-	fill := make([]int64, n)
-	copy(fill, offsets[:n])
-	d = time.Since(start)
-	buildOffsetsTimer.Observe(d)
-	if stats != nil {
-		stats.OffsetsNanos += d.Nanoseconds()
+	var run int64
+	for v := 0; v < n; v++ {
+		for k, t := range tallies {
+			curs[k][v] = run
+			run += int64(t[v])
+		}
+		offsets[v+1] = run
 	}
+	tallies = nil // free before the arc slab is allocated
+	observe(buildOffsetsTimer, &stats.OffsetsNanos, time.Since(start))
 
-	// Scatter pass: replay the enumeration, writing both directed arcs
-	// through per-vertex fill cursors. Under parallelism the cursors
-	// advance atomically, so within-row arc order depends on scheduling
-	// — the sort phase canonicalizes it.
-	adj := make([]int32, total)
-	var scatterEmit func(v, w int32)
-	if p == nil {
-		scatterEmit = func(v, w int32) {
-			a := fill[v]
-			fill[v] = a + 1
-			adj[a] = w
-			b := fill[w]
-			fill[w] = b + 1
-			adj[b] = v
-		}
-	} else {
-		scatterEmit = func(v, w int32) {
-			adj[atomic.AddInt64(&fill[v], 1)-1] = w
-			adj[atomic.AddInt64(&fill[w], 1)-1] = v
-		}
-	}
-	d = runStripes(p, rows, rowGrain, stats, func(lo, hi int) {
-		if fast {
-			fastSrc.ScatterRowsSerial(lo, hi, fill, adj)
-			return
-		}
-		// The count pass vetted every row, so a second error here would
-		// mean the source violated its replay contract; emission-count
-		// mismatches surface as a cursor overrun panic rather than a
-		// silent bad graph.
-		_ = src.EmitRows(lo, hi, scatterEmit)
-	})
-	buildScatterTimer.Observe(d)
-	if stats != nil {
-		stats.ScatterNanos += d.Nanoseconds()
-	}
+	// Scatter: every partition writes only through its own cursors,
+	// into cells no other partition owns.
+	adj := make([]int32, run)
+	d = forParts(parts, func(k int) { runs[k].Scatter(curs[k], adj) })
+	observe(buildScatterTimer, &stats.ScatterNanos, d)
 
-	// Sort phase: per-vertex neighbour sort + duplicate detection,
-	// striped over vertices. A fast source whose serial scatter is
-	// already sorted only needs the strict-ascending verify (equality =
-	// duplicate, inversion = broken SortedRowsSerial contract).
-	sortErrs := newStripedErrs(n, vtxGrain)
-	presorted := fast && fastSrc.SortedRowsSerial()
-	d = runStripes(p, n, vtxGrain, stats, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+	// Sort: per-vertex sort (skipped for a Sorted source) and a strict-
+	// ascending check — equality is a duplicate edge. The last
+	// partition's cursors must have reached the end of every row, or the
+	// source's two passes disagreed and the slab holds garbage.
+	sorted := src.Sorted()
+	last := curs[parts-1]
+	vb := splitRows(n, parts, func(v int) float64 { return float64(offsets[v]) + float64(v) })
+	d = forParts(parts, func(k int) {
+		for v := vb[k]; v < vb[k+1]; v++ {
+			if last[v] != offsets[v+1] {
+				panic(fmt.Sprintf("graph: edge source scatter disagrees with its count at vertex %d", v))
+			}
 			nb := adj[offsets[v]:offsets[v+1]]
-			if !presorted {
+			if !sorted {
 				slices.Sort(nb)
 			}
 			for i := 1; i < len(nb); i++ {
 				if nb[i] <= nb[i-1] {
-					sortErrs.set(lo, vtxGrain, fmt.Errorf("graph: duplicate edge (%d,%d)", v, nb[i]))
+					errs[k] = fmt.Errorf("graph: duplicate edge (%d,%d)", v, nb[i])
 					return
 				}
 			}
 		}
 	})
-	buildSortTimer.Observe(d)
-	if stats != nil {
-		stats.SortNanos += d.Nanoseconds()
-	}
-	if err := sortErrs.first(); err != nil {
+	observe(buildSortTimer, &stats.SortNanos, d)
+	if err := cmp.Or(errs...); err != nil { // the lowest partition's error
 		return nil, err
 	}
 

@@ -52,9 +52,13 @@ var seededBuilders = []struct {
 	}},
 }
 
-// TestBuildIdentityAcrossWorkersAndStripes is the tentpole determinism
-// matrix: every seeded family must produce byte-identical CSR arrays
-// at every worker count {1,2,4,8} and across stripe granularities.
+// buildWidths are the worker counts the identity tests sweep: serial,
+// every partition count up to maxBuildParts, and a width above it.
+var buildWidths = []int{1, 2, 3, 4, 7}
+
+// TestBuildIdentityAcrossWorkersAndStripes is the determinism matrix:
+// every seeded family must produce byte-identical CSR arrays at every
+// worker count, i.e. for every row partition.
 func TestBuildIdentityAcrossWorkersAndStripes(t *testing.T) {
 	for _, fam := range seededBuilders {
 		t.Run(fam.name, func(t *testing.T) {
@@ -65,15 +69,13 @@ func TestBuildIdentityAcrossWorkersAndStripes(t *testing.T) {
 			if err := ref.Validate(); err != nil {
 				t.Fatalf("reference graph invalid: %v", err)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, grain := range []int{0, 7, 64, 1 << 20} {
-					g, err := fam.build(42, BuildOpts{Workers: workers, Grain: grain})
-					if err != nil {
-						t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
-					}
-					if !graphBytesEqual(ref, g) {
-						t.Fatalf("workers=%d grain=%d: CSR differs from serial reference", workers, grain)
-					}
+			for _, workers := range buildWidths {
+				g, err := fam.build(42, BuildOpts{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !graphBytesEqual(ref, g) {
+					t.Fatalf("workers=%d: CSR differs from serial reference", workers)
 				}
 			}
 		})
@@ -97,8 +99,8 @@ func TestBuildSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestBuildCSRMatchesNewFromEdges: the parallel assembler over an edge
-// list must equal the serial NewFromEdges output byte for byte.
+// TestBuildCSRMatchesNewFromEdges: the partitioned assembler over an
+// edge list must equal the serial NewFromEdges output byte for byte.
 func TestBuildCSRMatchesNewFromEdges(t *testing.T) {
 	r := rng.New(7)
 	const n = 300
@@ -122,21 +124,19 @@ func TestBuildCSRMatchesNewFromEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		for _, grain := range []int{0, 13, 257} {
-			g, err := BuildCSR(n, EdgeList(n, edges), BuildOpts{Workers: workers, Grain: grain})
-			if err != nil {
-				t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
-			}
-			if !graphBytesEqual(ref, g) {
-				t.Fatalf("workers=%d grain=%d: differs from NewFromEdges", workers, grain)
-			}
+	for _, workers := range buildWidths[1:] {
+		g, err := BuildCSR(n, EdgeList(n, edges), BuildOpts{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !graphBytesEqual(ref, g) {
+			t.Fatalf("workers=%d: differs from NewFromEdges", workers)
 		}
 	}
 }
 
 // TestBuildCSRErrors pins the exact legacy error strings and that
-// error selection is deterministic under parallelism (earliest row
+// error selection is deterministic under partitioning (earliest row
 // wins, not fastest worker).
 func TestBuildCSRErrors(t *testing.T) {
 	cases := []struct {
@@ -152,19 +152,25 @@ func TestBuildCSRErrors(t *testing.T) {
 		{"duplicate", 3, []Edge{{0, 1}, {1, 2}, {1, 0}}, "graph: duplicate edge (0,1)"},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			_, err := BuildCSR(tc.n, EdgeList(tc.n, tc.edges), BuildOpts{Workers: workers, Grain: 1})
+		for _, workers := range buildWidths {
+			_, err := BuildCSR(tc.n, EdgeList(tc.n, tc.edges), BuildOpts{Workers: workers})
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s (workers=%d): err = %v, want %q", tc.name, workers, err, tc.want)
 			}
 		}
 	}
-	// Two errors in different stripes: the earliest row's error must win
-	// at every width and grain.
+	// Errors in several partitions: the earliest row's error must win at
+	// every width, including the duplicate found by the sort phase.
 	edges := []Edge{{0, 1}, {1, 1}, {2, 9}, {3, 3}}
-	for _, workers := range []int{1, 2, 8} {
-		_, err := BuildCSR(4, EdgeList(4, edges), BuildOpts{Workers: workers, Grain: 1})
+	for _, workers := range buildWidths {
+		_, err := BuildCSR(4, EdgeList(4, edges), BuildOpts{Workers: workers})
 		want := "graph: edge 1 is a self-loop at 1"
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		dups := []Edge{{0, 1}, {2, 3}, {5, 6}, {3, 2}, {7, 6}, {1, 0}, {6, 5}}
+		_, err = BuildCSR(8, EdgeList(8, dups), BuildOpts{Workers: workers})
+		want = "graph: duplicate edge (0,1)"
 		if err == nil || err.Error() != want {
 			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
 		}
@@ -177,11 +183,8 @@ func TestBuildStats(t *testing.T) {
 	if _, err := GnpSeeded(20000, 0.004, 3, BuildOpts{Workers: 2, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers != 2 {
-		t.Errorf("Workers = %d, want 2", st.Workers)
-	}
-	if st.Stripes == 0 {
-		t.Error("Stripes = 0, want > 0")
+	if st.Parts != 2 {
+		t.Errorf("Parts = %d, want 2", st.Parts)
 	}
 	if st.CountNanos <= 0 || st.ScatterNanos <= 0 || st.SortNanos <= 0 {
 		t.Errorf("phase nanos not populated: %+v", st)
@@ -404,60 +407,71 @@ func TestBuildCSRReplayMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic from replay-contract violation")
 		}
 	}()
-	src := &flakySource{}
-	_, _ = BuildCSR(4, src, BuildOpts{})
+	_, _ = BuildCSR(4, flakySource{}, BuildOpts{})
 }
 
-// flakySource violates the replay contract: the first enumeration
-// (count) emits one edge, the second (scatter) emits two.
-type flakySource struct{ calls int }
+// flakySource violates the replay contract: its count sees one edge,
+// its scatter writes two.
+type flakySource struct{}
 
-func (s *flakySource) Rows() int { return 1 }
+func (flakySource) Rows() int               { return 1 }
+func (flakySource) RowCost(r int) float64   { return float64(r) }
+func (flakySource) Sorted() bool            { return false }
+func (flakySource) Part(lo, hi int) RowPart { return flakySource{} }
 
-func (s *flakySource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	s.calls++
-	emit(0, 1)
-	if s.calls > 1 {
-		emit(2, 3)
-	}
+func (flakySource) Count(deg []int32) error {
+	deg[0]++
+	deg[1]++
 	return nil
 }
 
-// TestEdgeListSourceRows sanity-checks the EdgeList view.
+func (flakySource) Scatter(fill []int64, adj []int32) {
+	EdgeList(4, []Edge{{0, 1}, {2, 3}}).Part(0, 2).Scatter(fill, adj)
+}
+
+// TestEdgeListSourceRows sanity-checks the EdgeList view: a part
+// covers its own rows only and reports errors by global edge index.
 func TestEdgeListSourceRows(t *testing.T) {
-	src := EdgeList(5, []Edge{{0, 1}, {2, 3}})
-	if src.Rows() != 2 {
-		t.Fatalf("Rows = %d, want 2", src.Rows())
+	src := EdgeList(5, []Edge{{0, 1}, {2, 3}, {4, 4}})
+	if src.Rows() != 3 {
+		t.Fatalf("Rows = %d, want 3", src.Rows())
 	}
-	var got []string
-	err := src.EmitRows(0, 2, func(v, w int32) { got = append(got, fmt.Sprintf("%d-%d", v, w)) })
-	if err != nil || len(got) != 2 || got[0] != "0-1" || got[1] != "2-3" {
-		t.Fatalf("emitted %v err %v", got, err)
+	deg := make([]int32, 5)
+	if err := src.Part(1, 2).Count(deg); err != nil || fmt.Sprint(deg) != "[0 0 1 1 0]" {
+		t.Fatalf("part [1,2) tallied %v err %v", deg, err)
+	}
+	fill := []int64{0, 0, 0, 1, 0}
+	adj := make([]int32, 2)
+	src.Part(1, 2).Scatter(fill, adj)
+	if fmt.Sprint(adj) != "[3 2]" {
+		t.Fatalf("part [1,2) scattered %v", adj)
+	}
+	if err := src.Part(2, 3).Count(deg); err == nil || err.Error() != "graph: edge 2 is a self-loop at 4" {
+		t.Fatalf("part [2,3) err %v", err)
 	}
 }
 
-// FuzzBuildStripes fuzzes stripe boundaries and worker counts against
-// the serial reference: any (n, p, seed, grain, workers) must build
-// the same graph as the serial default-grain build.
+// FuzzBuildStripes fuzzes row partitions against the serial reference:
+// any (n, p, seed, workers) must build the same graph as the serial
+// build.
 func FuzzBuildStripes(f *testing.F) {
-	f.Add(uint16(100), uint16(50), uint64(1), uint16(7), uint8(4))
-	f.Add(uint16(2), uint16(999), uint64(0), uint16(1), uint8(2))
-	f.Add(uint16(257), uint16(10), uint64(123), uint16(64), uint8(8))
-	f.Fuzz(func(t *testing.T, nRaw, pMille uint16, seed uint64, grainRaw uint16, workersRaw uint8) {
+	f.Add(uint16(100), uint16(50), uint64(1), uint8(4))
+	f.Add(uint16(2), uint16(999), uint64(0), uint8(2))
+	f.Add(uint16(257), uint16(10), uint64(123), uint8(3))
+	f.Fuzz(func(t *testing.T, nRaw, pMille uint16, seed uint64, workersRaw uint8) {
 		n := int(nRaw%400) + 1
 		p := float64(pMille%1000) / 1000
-		grain := int(grainRaw%512) + 1
 		workers := int(workersRaw%8) + 1
 		ref, err := GnpSeeded(n, p, seed, BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := GnpSeeded(n, p, seed, BuildOpts{Workers: workers, Grain: grain})
+		g, err := GnpSeeded(n, p, seed, BuildOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !graphBytesEqual(ref, g) {
-			t.Fatalf("n=%d p=%g grain=%d workers=%d: differs from serial build", n, p, grain, workers)
+			t.Fatalf("n=%d p=%g workers=%d: differs from serial build", n, p, workers)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)

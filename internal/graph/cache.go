@@ -20,9 +20,9 @@ import (
 // builds outside it; concurrent requests for the same key share one
 // build via a ready channel. The dedup pins each cold build to one
 // calling goroutine, but the build itself is no longer serial: the
-// seeded builders stripe their phases over the work-stealing pool
-// (BuildOpts.Workers), so a single cold miss can still saturate the
-// machine. Entries referenced by a live Handle
+// seeded builders run their assembly over row partitions on their own
+// goroutines (BuildOpts.Workers), so a single cold miss can still use
+// several cores. Entries referenced by a live Handle
 // (refs > 0) are pinned and never evicted. Eviction only forgets the
 // cache's pointer — Graphs are immutable, so evicted-but-referenced
 // instances stay valid and are reclaimed by GC when released.

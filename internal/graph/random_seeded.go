@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"div/internal/rng"
-	"div/internal/sched"
 )
 
 // This file holds the seeded random-family builders: the same sampling
 // laws as the legacy *rand.Rand builders in random.go, but driven by
 // Philox counter streams keyed on the build seed so each graph is a
 // pure function of (family parameters, seed) — independent of worker
-// count, stripe size, and everything else about scheduling — and
+// count, row partition, and everything else about scheduling — and
 // assembled directly into CSR form (BuildCSR, no []Edge detour).
 //
 // The seed→graph mapping differs from the legacy builders (a PCG
@@ -29,13 +27,13 @@ import (
 //   - Gnp: embarrassingly row-parallel. Vertex row v (its edges to
 //     smaller vertices, the Batagelj–Brandes lexicographic order
 //     restarted per row) draws from a Counter keyed (seed, v), so any
-//     partition of rows into stripes samples identical edges.
+//     partition of the rows samples identical edges, and sampling runs
+//     inside the partitions' count pass.
 //   - RandomRegular: configuration-model pairing is a global sequential
 //     chain (each pair conditions on the whole history), so sampling is
 //     serial on one keyed stream; the CSR assembly of the paired
 //     half-edge table is parallel.
-//   - WattsStrogatz: the lattice slab fills in parallel (edge positions
-//     are arithmetic); rewiring conditions on the evolving edge set and
+//   - WattsStrogatz: rewiring conditions on the evolving edge set and
 //     stays serial; assembly is parallel.
 //   - BarabasiAlbert: inherently sequential — every attachment draw
 //     conditions on all earlier degrees — so sampling is serial on one
@@ -45,7 +43,7 @@ import (
 // samples its edges {w, v} (w < v) by geometric skipping from a Philox
 // counter stream keyed (seed, v). The same law as Gnp — restarting the
 // skip chain at each row boundary still makes every pair an
-// independent Bernoulli(p) — with construction striped across rows.
+// independent Bernoulli(p) — with construction partitioned by rows.
 func GnpSeeded(n int, p float64, seed uint64, opts BuildOpts) (*Graph, error) {
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("graph: Gnp probability %v out of [0,1]", p)
@@ -69,170 +67,86 @@ func GnpSeeded(n int, p float64, seed uint64, opts BuildOpts) (*Graph, error) {
 }
 
 // gnpSource emits row v's edges to smaller vertices from the row-keyed
-// counter stream. Emissions are a pure function of the row range. The
-// count pass's draws are memoized per stripe — just the neighbour
-// values, 4 bytes per edge, since the owning vertex is implied by the
-// per-row lengths — and the scatter pass replays the memo instead of
-// re-running the geometric skip chain, so each edge is sampled exactly
-// once. A memo is consumed (freed) by its replay, bounding the build's
-// transient overhead at one int32 per edge between the two passes.
+// counter stream, so a row's draws are the same in every partition.
 type gnpSource struct {
 	n    int
 	p    float64
 	lq   float64
 	seed uint64
-
-	mu   sync.Mutex
-	memo map[int]*gnpStripe // keyed by stripe lo
-}
-
-type gnpStripe struct {
-	hi     int
-	ws     []int32 // neighbour draws, rows lo..hi-1 concatenated
-	rowLen []int32 // draws per row
 }
 
 func (s *gnpSource) Rows() int { return s.n }
 
-// take removes and returns the memo for stripe lo, nil if absent.
-func (s *gnpSource) take(lo int) *gnpStripe {
-	s.mu.Lock()
-	st := s.memo[lo]
-	if st != nil {
-		delete(s.memo, lo)
-	}
-	s.mu.Unlock()
-	return st
+// RowCost weighs a row by its one stream seeding plus its expected
+// p·v edges: rows [0, r) cost r + p·r(r-1)/2.
+func (s *gnpSource) RowCost(r int) float64 {
+	return float64(r) + s.p*float64(r)*float64(r-1)/2
 }
 
-func (s *gnpSource) put(lo int, st *gnpStripe) {
-	s.mu.Lock()
-	if s.memo == nil {
-		s.memo = make(map[int]*gnpStripe)
-	}
-	s.memo[lo] = st
-	s.mu.Unlock()
-}
+// Sorted: the skip chain emits each row ascending and every edge is
+// owned by its larger endpoint.
+func (s *gnpSource) Sorted() bool { return true }
 
-// newStripe allocates a memo sized to the stripe's expected edge count
+// Part allocates the partition's memo sized to its expected edge count
 // (p · #pairs owned, plus four standard deviations of Binomial slack)
 // so count-pass appends almost never reallocate.
-func (s *gnpSource) newStripe(lo, hi int) *gnpStripe {
+func (s *gnpSource) Part(lo, hi int) RowPart {
 	pairs := (float64(hi)*float64(hi-1) - float64(lo)*float64(lo-1)) / 2
 	mean := s.p * pairs
 	capHint := int(mean + 4*math.Sqrt(mean) + 16)
-	return &gnpStripe{hi: hi, ws: make([]int32, 0, capHint), rowLen: make([]int32, hi-lo)}
+	return &gnpPart{src: s, lo: lo, hi: hi, ws: make([]int32, 0, capHint), rowLen: make([]int32, hi-lo)}
 }
 
-func (s *gnpSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	if st := s.take(lo); st != nil && st.hi == hi {
-		i := 0
-		for v := lo; v < hi; v++ {
-			for k := int32(0); k < st.rowLen[v-lo]; k++ {
-				emit(int32(v), st.ws[i])
-				i++
-			}
-		}
-		return nil
-	}
-	st := s.newStripe(lo, hi)
-	var c rng.Counter
-	for v := lo; v < hi; v++ {
-		if v == 0 {
-			continue // no smaller vertices
-		}
-		c.Seed(s.seed, uint64(v))
-		w := -1
-		for {
-			w += 1 + geometricSkipCounter(&c, s.lq)
-			if w >= v || w < 0 {
-				break
-			}
-			emit(int32(v), int32(w))
-			st.ws = append(st.ws, int32(w))
-			st.rowLen[v-lo]++
-		}
-	}
-	s.put(lo, st)
-	return nil
+// gnpPart samples its rows once, in Count, memoizing just the
+// neighbour draws — 4 bytes per edge, the owning vertex is implied by
+// the per-row lengths — and Scatter replays and frees the memo instead
+// of re-running the geometric skip chain.
+type gnpPart struct {
+	src    *gnpSource
+	lo, hi int
+	ws     []int32 // neighbour draws, rows lo..hi-1 concatenated
+	rowLen []int32 // draws per row
 }
 
-// CountRowsSerial is the serialRowsSource fast path: the same skip
-// chain as EmitRows with the degree tallies inlined (the row side
-// batched per row) and the memo filled as a side effect.
-func (s *gnpSource) CountRowsSerial(lo, hi int, counts []int32) error {
-	st := s.newStripe(lo, hi)
+func (pt *gnpPart) Count(deg []int32) error {
+	seed, lq, ws := pt.src.seed, pt.src.lq, pt.ws
 	var c rng.Counter
-	for v := lo; v < hi; v++ {
-		if v == 0 {
-			continue
-		}
-		c.Seed(s.seed, uint64(v))
+	for v := max(pt.lo, 1); v < pt.hi; v++ {
+		c.Seed(seed, uint64(v))
 		w := -1
 		var rl int32
 		for {
-			w += 1 + geometricSkipCounter(&c, s.lq)
+			w += 1 + geometricSkipCounter(&c, lq)
 			if w >= v || w < 0 {
 				break
 			}
-			st.ws = append(st.ws, int32(w))
-			counts[w+1]++
+			ws = append(ws, int32(w))
+			deg[w]++
 			rl++
 		}
-		st.rowLen[v-lo] = rl
-		counts[v+1] += rl
+		pt.rowLen[v-pt.lo] = rl
+		deg[v] += rl
 	}
-	s.put(lo, st)
+	pt.ws = ws
 	return nil
 }
 
-// SortedRowsSerial: the skip chain emits each row ascending and every
-// edge is owned by its larger endpoint, so a serial scatter writes
-// every adjacency already sorted.
-func (s *gnpSource) SortedRowsSerial() bool { return true }
-
-// ScatterRowsSerial replays the count pass's memo straight into the
-// arc slab. A serial build always has the memo (the two passes run on
-// one goroutine over identical stripes); the resample branch keeps the
-// method total for robustness.
-func (s *gnpSource) ScatterRowsSerial(lo, hi int, fill []int64, adj []int32) {
-	if st := s.take(lo); st != nil && st.hi == hi {
-		i := 0
-		for v := lo; v < hi; v++ {
-			vv := int32(v)
-			for k := int32(0); k < st.rowLen[v-lo]; k++ {
-				w := st.ws[i]
-				i++
-				a := fill[vv]
-				fill[vv] = a + 1
-				adj[a] = w
-				b := fill[w]
-				fill[w] = b + 1
-				adj[b] = vv
-			}
-		}
-		return
-	}
-	var c rng.Counter
-	for v := lo; v < hi; v++ {
-		if v == 0 {
-			continue
-		}
-		c.Seed(s.seed, uint64(v))
-		w := -1
-		for {
-			w += 1 + geometricSkipCounter(&c, s.lq)
-			if w >= v || w < 0 {
-				break
-			}
-			a := fill[v]
-			fill[v] = a + 1
-			adj[a] = int32(w)
+func (pt *gnpPart) Scatter(fill []int64, adj []int32) {
+	ws := pt.ws
+	for v := pt.lo; v < pt.hi; v++ {
+		rl := pt.rowLen[v-pt.lo]
+		a := fill[v]
+		for _, w := range ws[:rl] {
+			adj[a] = w
+			a++
 			b := fill[w]
 			fill[w] = b + 1
 			adj[b] = int32(v)
 		}
+		fill[v] = a
+		ws = ws[rl:]
 	}
+	pt.ws, pt.rowLen = nil, nil
 }
 
 // ConnectedGnpSeeded draws GnpSeeded repeatedly until the sample is
@@ -308,18 +222,46 @@ type regularTableSource struct {
 	cnt  []int32
 }
 
-func (s *regularTableSource) Rows() int { return s.n }
+func (s *regularTableSource) Rows() int             { return s.n }
+func (s *regularTableSource) RowCost(r int) float64 { return float64(r) }
+func (s *regularTableSource) Sorted() bool          { return false }
 
-func (s *regularTableSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	for v := lo; v < hi; v++ {
-		row := s.nbr[v*s.d : v*s.d+int(s.cnt[v])]
-		for _, w := range row {
+func (s *regularTableSource) Part(lo, hi int) RowPart {
+	return regularPart{s, lo, hi}
+}
+
+type regularPart struct {
+	s      *regularTableSource
+	lo, hi int
+}
+
+func (pt regularPart) Count(deg []int32) error {
+	s := pt.s
+	for v := pt.lo; v < pt.hi; v++ {
+		for _, w := range s.nbr[v*s.d : v*s.d+int(s.cnt[v])] {
 			if w > int32(v) {
-				emit(int32(v), w)
+				deg[v]++
+				deg[w]++
 			}
 		}
 	}
 	return nil
+}
+
+func (pt regularPart) Scatter(fill []int64, adj []int32) {
+	s := pt.s
+	for v := pt.lo; v < pt.hi; v++ {
+		for _, w := range s.nbr[v*s.d : v*s.d+int(s.cnt[v])] {
+			if w > int32(v) {
+				a := fill[v]
+				fill[v] = a + 1
+				adj[a] = w
+				b := fill[w]
+				fill[w] = b + 1
+				adj[b] = int32(v)
+			}
+		}
+	}
 }
 
 // hasNeighbor reports whether w already appears in v's table row: the
@@ -384,9 +326,8 @@ func tryPairingTable(n, d int, s *rng.Stream, src *regularTableSource, stubs []i
 }
 
 // WattsStrogatzSeeded returns the small-world graph built from a keyed
-// stream: the ring-lattice slab fills in parallel (edge i's endpoints
-// are arithmetic in i), the rewiring pass replays the legacy
-// sequential scan on Stream (seed, 0), and assembly is parallel.
+// stream: the rewiring pass replays the legacy sequential scan over the
+// ring lattice on Stream (seed, 0), and assembly is parallel.
 func WattsStrogatzSeeded(n, d int, beta float64, seed uint64, opts BuildOpts) (*Graph, error) {
 	if d%2 != 0 || d < 2 || d >= n {
 		return nil, fmt.Errorf("graph: WattsStrogatz requires even 2 <= d < n, got d=%d n=%d", d, n)
@@ -395,15 +336,12 @@ func WattsStrogatzSeeded(n, d int, beta float64, seed uint64, opts BuildOpts) (*
 		return nil, fmt.Errorf("graph: WattsStrogatz beta %v out of [0,1]", beta)
 	}
 	half := d / 2
-	edges := make([]Edge, n*half)
-	grain := opts.grainFor(n)
-	sched.Distribute(opts.pool(), n, grain, sched.Tag{Exp: "graph_build"}, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for s := 1; s <= half; s++ {
-				edges[v*half+s-1] = Edge{U: v, V: (v + s) % n}
-			}
+	edges := make([]Edge, 0, n*half)
+	for v := 0; v < n; v++ {
+		for s := 1; s <= half; s++ {
+			edges = append(edges, Edge{U: v, V: (v + s) % n})
 		}
-	})
+	}
 	if beta > 0 {
 		start := time.Now()
 		rewireLattice(n, half, beta, seed, edges)
@@ -479,7 +417,7 @@ func rewireLattice(n, half int, beta float64, seed uint64, edges []Edge) {
 // from Stream (seed, 0). Attachment is inherently sequential — each
 // arrival's degree-proportional draws condition on every earlier edge
 // — so sampling is serial (documented here deliberately; do not try to
-// stripe it), and only the CSR assembly of the recorded picks
+// partition it), and only the CSR assembly of the recorded picks
 // parallelizes.
 func BarabasiAlbertSeeded(n, m int, seed uint64, opts BuildOpts) (*Graph, error) {
 	if m < 1 || m+1 > n {
@@ -527,26 +465,56 @@ func BarabasiAlbertSeeded(n, m int, seed uint64, opts BuildOpts) (*Graph, error)
 
 // baSource is the recorded attachment picks as an EdgeSource: rows
 // below m0 own the seed-clique edges to larger clique vertices, row
-// v ≥ m0 owns its m attachment edges (targets always predate v).
+// v ≥ m0 owns its m attachment edges (targets always predate v). It is
+// its own RowPart, restricted to rows [lo, hi).
 type baSource struct {
 	m0, m, n int
 	picks    []int32
+	lo, hi   int
 }
 
-func (s baSource) Rows() int { return s.n }
+func (s baSource) Rows() int             { return s.n }
+func (s baSource) RowCost(r int) float64 { return float64(r) }
+func (s baSource) Sorted() bool          { return false }
 
-func (s baSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	for v := lo; v < hi; v++ {
-		if v < s.m0 {
-			for u := v + 1; u < s.m0; u++ {
-				emit(int32(v), int32(u))
-			}
-			continue
+func (s baSource) Part(lo, hi int) RowPart {
+	s.lo, s.hi = lo, hi
+	return s
+}
+
+// row returns row v's edge endpoints other than v.
+func (s baSource) row(v int, clique []int32) []int32 {
+	if v < s.m0 {
+		clique = clique[:0]
+		for u := v + 1; u < s.m0; u++ {
+			clique = append(clique, int32(u))
 		}
-		row := s.picks[(v-s.m0)*s.m : (v-s.m0+1)*s.m]
-		for _, t := range row {
-			emit(int32(v), t)
+		return clique
+	}
+	return s.picks[(v-s.m0)*s.m : (v-s.m0+1)*s.m]
+}
+
+func (s baSource) Count(deg []int32) error {
+	clique := make([]int32, 0, s.m0)
+	for v := s.lo; v < s.hi; v++ {
+		for _, t := range s.row(v, clique) {
+			deg[v]++
+			deg[t]++
 		}
 	}
 	return nil
+}
+
+func (s baSource) Scatter(fill []int64, adj []int32) {
+	clique := make([]int32, 0, s.m0)
+	for v := s.lo; v < s.hi; v++ {
+		for _, t := range s.row(v, clique) {
+			a := fill[v]
+			fill[v] = a + 1
+			adj[a] = t
+			b := fill[t]
+			fill[t] = b + 1
+			adj[b] = int32(v)
+		}
+	}
 }
